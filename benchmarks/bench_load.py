@@ -2,26 +2,25 @@
 
 Every scenario runs twice over the same drifting CBF stream — once
 **uncalibrated** (``use_profile(None)``: the static ``DEFAULT_MAX_BATCH``
-/ ``DEFAULT_MAX_LATENCY_S`` constants and the static cost model) and once
+constant and the static cost model) and once
 **calibrated** (``use_profile(calibrate(quick=True))``: the measured
 :class:`~repro.tuning.HardwareProfile` of this machine) — and records
 p50/p99 request latency (from the ``ServingStats`` reservoir), mean batch
-occupancy, kernel-time throughput, and the deadline-miss ("drop") rate
+occupancy, kernel-time throughput, and the client-timeout ("drop") rate
 into ``BENCH_load.json``.
 
 Scenarios
 ---------
 
 ``poisson_steady``
-    Poisson arrivals slower than the service rate: most batches flush on
-    the *latency deadline*, so per-request latency ≈ ``max_latency_s``.
-    The static default waits 10 ms; the calibrated deadline is a few
-    measured batch services (clamped to never exceed the static 10 ms),
-    so calibration directly cuts tail latency.
+    Poisson arrivals slower than the service rate: the queue's collector
+    is idle when most requests arrive and runs them at once, in batches
+    of about one, so per-request latency is about one kernel call.
+    ``max_batch`` is rarely reached here, so the two modes should tie.
 ``burst``
     Bursts of mixed sizes (via :func:`repro.datasets.replay_stream`) with
-    idle gaps. Each burst's final partial batch waits out the deadline —
-    again the calibrated policy pays less.
+    idle gaps. A burst's first request runs alone; the rest queue behind
+    it and go out in batches of up to ``max_batch``.
 ``saturation``
     Back-pressure mode: enqueue everything, then drain through a passive
     queue. Batches hit ``max_batch`` exactly, so throughput is the
@@ -61,16 +60,15 @@ from repro.distances import pairwise_distances
 from repro.parallel import effective_n_jobs, resolve_backend
 from repro.preprocessing import zscore
 from repro.serving import MicroBatchQueue, ShapePredictor
-from repro.serving.queue import DEFAULT_MAX_BATCH, DEFAULT_MAX_LATENCY_S
+from repro.serving.queue import DEFAULT_MAX_BATCH
 from repro.tuning import HardwareProfile, calibrate, use_profile
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_load.json"
 
 #: A request is "dropped" (abandoned by its client) when its latency
-#: exceeds this deadline — between the calibrated and the static flush
-#: deadlines, so the policy difference is visible in the drop rate.
-DROP_DEADLINE_S = 0.008
+#: exceeds this client-side timeout.
+CLIENT_TIMEOUT_S = 0.008
 
 SERIES_LENGTH = 128
 N_CENTROIDS = 4
@@ -99,7 +97,7 @@ def _predictor(seed: int) -> ShapePredictor:
 def _summarize(queue: MicroBatchQueue) -> Dict[str, float]:
     stats = queue.stats()
     latencies = np.fromiter(stats.recent_latencies, dtype=np.float64)
-    dropped = float(np.mean(latencies > DROP_DEADLINE_S)) if latencies.size else 0.0
+    dropped = float(np.mean(latencies > CLIENT_TIMEOUT_S)) if latencies.size else 0.0
     return {
         "requests": stats.requests,
         "completed": stats.completed,
@@ -111,7 +109,6 @@ def _summarize(queue: MicroBatchQueue) -> Dict[str, float]:
         "throughput_per_s": round(stats.throughput, 1),
         "drop_rate": round(dropped, 4),
         "max_batch_policy": queue.max_batch,
-        "max_latency_policy_s": queue.max_latency_s,
     }
 
 
@@ -215,10 +212,7 @@ def run_benchmark(smoke: bool = False) -> dict:
     pool = _drifting_pool(n_pool, SERIES_LENGTH, seed=11)
 
     profile = calibrate(quick=True)
-    identical_policy = (
-        profile.serving_max_batch == DEFAULT_MAX_BATCH
-        and abs(profile.serving_max_latency_s - DEFAULT_MAX_LATENCY_S) < 1e-12
-    )
+    identical_policy = profile.serving_max_batch == DEFAULT_MAX_BATCH
 
     scenarios: Dict[str, Dict[str, Dict]] = {}
 
@@ -292,18 +286,14 @@ def run_benchmark(smoke: bool = False) -> dict:
         "benchmark": "serving/offline load under static vs calibrated scheduling",
         "smoke": smoke,
         "cpu_count": effective_n_jobs(-1),
-        "drop_deadline_s": DROP_DEADLINE_S,
+        "client_timeout_s": CLIENT_TIMEOUT_S,
         "profile": {
             "max_batch": profile.serving_max_batch,
-            "max_latency_s": round(profile.serving_max_latency_s, 6),
             "process_spawn_s": round(profile.overheads["process_spawn_s"], 6),
             "thread_spawn_s": round(profile.overheads["thread_spawn_s"], 6),
             "identical_to_static_policy": identical_policy,
         },
-        "static_policy": {
-            "max_batch": DEFAULT_MAX_BATCH,
-            "max_latency_s": DEFAULT_MAX_LATENCY_S,
-        },
+        "static_policy": {"max_batch": DEFAULT_MAX_BATCH},
         "scenarios": scenarios,
         "comparison": comparison,
         "calibrated_no_slower_on_every_row": all(

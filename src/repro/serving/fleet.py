@@ -10,9 +10,9 @@ production-shaped layer, :class:`ShapeFleet`:
   fleet moves ~1/N of the keys, not all of them;
 * each shard owns its *own* :class:`~repro.serving.ShapePredictor`
   (optionally routing through a :class:`~repro.search.CentroidIndex`)
-  and :class:`~repro.serving.MicroBatchQueue` under the
-  profile-calibrated per-shard policy
-  (:meth:`repro.tuning.HardwareProfile.serving_policy`), so latency
+  and :class:`~repro.serving.MicroBatchQueue`, capped at the
+  profile-calibrated ``max_batch``; a shard queue dispatches as soon as
+  its collector is idle, so the cap needs no per-shard split. Latency
   percentiles and queue depth are observable per shard and roll up into
   :class:`FleetStats`;
 * one :class:`~repro.serving.CentroidMaintainer` watches the traffic the
@@ -80,12 +80,7 @@ from ..exceptions import ArtifactError, InvalidParameterError, ShapeMismatchErro
 from ..search.index import IndexStats
 from .maintenance import CentroidMaintainer, DriftReport
 from .predictor import ShapePredictor
-from .queue import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_LATENCY_S,
-    MicroBatchQueue,
-    ServingStats,
-)
+from .queue import MicroBatchQueue, ServingStats, _default_max_batch
 from .registry import ModelRegistry
 from .router import DEFAULT_REPLICAS, Key, ShardRouter
 
@@ -344,11 +339,10 @@ class ShapeFleet:
         ``None`` / ``"exact"`` / ``"approx"`` — per-shard
         :class:`~repro.search.CentroidIndex` routing, rebuilt over the
         new centroids on every swap (the index handoff).
-    max_batch / max_latency_s:
-        Per-shard queue policy. ``None`` resolves the active
-        :class:`~repro.tuning.HardwareProfile`'s
-        :meth:`~repro.tuning.HardwareProfile.serving_policy` for this
-        shard count, else the static defaults.
+    max_batch:
+        Per-shard batch cap. ``None`` takes the active
+        :class:`~repro.tuning.HardwareProfile`'s calibrated
+        ``max_batch``, else :data:`~repro.serving.queue.DEFAULT_MAX_BATCH`.
     autostart:
         Passed to every shard queue. ``False`` (default) keeps the fleet
         fully deterministic: requests buffer until :meth:`flush` (or a
@@ -369,7 +363,6 @@ class ShapeFleet:
         version: Optional[str] = None,
         index: Optional[str] = None,
         max_batch: Optional[int] = None,
-        max_latency_s: Optional[float] = None,
         autostart: bool = False,
         replicas: int = DEFAULT_REPLICAS,
         seed: int = 0,
@@ -385,23 +378,9 @@ class ShapeFleet:
         self.n_shards = int(n_shards)
         self.index_mode = index
         self.autostart = bool(autostart)
-        if max_batch is None or max_latency_s is None:
-            from ..tuning.profile import get_active_profile
-
-            profile = get_active_profile()
-            if profile is not None:
-                policy = profile.serving_policy(self.n_shards)
-                if max_batch is None:
-                    max_batch = int(policy["max_batch"])
-                if max_latency_s is None:
-                    max_latency_s = float(policy["max_latency_s"])
-            else:
-                if max_batch is None:
-                    max_batch = DEFAULT_MAX_BATCH
-                if max_latency_s is None:
-                    max_latency_s = DEFAULT_MAX_LATENCY_S
-        self.max_batch = int(max_batch)
-        self.max_latency_s = float(max_latency_s)
+        self.max_batch = int(
+            max_batch if max_batch is not None else _default_max_batch()
+        )
 
         self.version_ = version if version is not None else registry.resolve()
         self._model = registry.load(self.version_)
@@ -429,7 +408,6 @@ class ShapeFleet:
         queue = MicroBatchQueue(
             predictor,
             max_batch=self.max_batch,
-            max_latency_s=self.max_latency_s,
             autostart=self.autostart,
         )
         return _Shard(name, predictor, queue)
@@ -566,7 +544,6 @@ class ShapeFleet:
             new_queue = MicroBatchQueue(
                 new_predictor,
                 max_batch=self.max_batch,
-                max_latency_s=self.max_latency_s,
                 autostart=self.autostart,
             )
             tick = perf_counter()

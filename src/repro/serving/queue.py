@@ -6,9 +6,11 @@ call over 32 queries costs far less than 32 calls over one. The
 :class:`MicroBatchQueue` bridges the two: :meth:`~MicroBatchQueue.submit`
 enqueues a single series and returns a future; a collector thread coalesces
 waiting requests into one batched :class:`~repro.serving.ShapePredictor`
-call under a **max-batch / max-latency** policy — a batch is flushed as
-soon as it holds ``max_batch`` requests *or* its oldest request has waited
-``max_latency_s`` seconds, whichever comes first.
+call. The collector never waits on a timer: it blocks for the first
+request, takes every request already waiting (up to ``max_batch``) and
+runs the batch at once; requests that arrive while a batch runs form the
+next one. Batch size therefore follows the load — about 1 when traffic is
+light, ``max_batch`` whenever a backlog builds.
 
 Because the predictor's batched and per-series answers are exactly equal,
 coalescing never changes a response — it only changes throughput. Per-request
@@ -34,14 +36,13 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .._validation import as_series, check_positive_int
-from ..exceptions import InvalidParameterError, QueueClosedError
+from ..exceptions import QueueClosedError
 from .predictor import ShapePredictor
 
 __all__ = [
     "ServingStats",
     "MicroBatchQueue",
     "DEFAULT_MAX_BATCH",
-    "DEFAULT_MAX_LATENCY_S",
 ]
 
 #: Rolling reservoir size the latency percentiles are computed over. Large
@@ -49,13 +50,19 @@ __all__ = [
 #: is cheap under the queue's lock.
 LATENCY_RESERVOIR = 4096
 
-#: Static fallback batching policy, used when no measured
+#: Static fallback batch cap, used when no measured
 #: :class:`repro.tuning.HardwareProfile` is active. A calibrated profile
-#: replaces these with values derived from this machine's batched-kernel
-#: cost curve (``max_batch`` never below, ``max_latency_s`` never above,
-#: these defaults — calibration can only tighten the policy).
+#: replaces it with the per-item-cost optimum of this machine's
+#: batched-kernel cost curve.
 DEFAULT_MAX_BATCH = 32
-DEFAULT_MAX_LATENCY_S = 0.01
+
+
+def _default_max_batch() -> int:
+    """The active profile's calibrated batch cap, else the static default."""
+    from ..tuning.profile import get_active_profile
+
+    profile = get_active_profile()
+    return profile.serving_max_batch if profile is not None else DEFAULT_MAX_BATCH
 
 
 @dataclass
@@ -172,14 +179,9 @@ class MicroBatchQueue:
         A :class:`~repro.serving.ShapePredictor` (or anything exposing
         ``predict_full(X) -> Prediction`` and an ``m`` attribute).
     max_batch:
-        Flush as soon as this many requests are waiting. ``None`` (the
-        default) takes the active hardware profile's measured value, or
+        Most requests one predictor call takes. ``None`` (the default)
+        takes the active hardware profile's measured value, or
         :data:`DEFAULT_MAX_BATCH` when no profile is active.
-    max_latency_s:
-        Flush once the oldest waiting request has aged this long, even if
-        the batch is not full. ``None`` (the default) takes the active
-        hardware profile's measured value, or
-        :data:`DEFAULT_MAX_LATENCY_S` when no profile is active.
     autostart:
         Start the collector thread immediately. ``False`` leaves the queue
         passive: requests buffer until an explicit :meth:`flush` — the
@@ -196,32 +198,12 @@ class MicroBatchQueue:
         self,
         predictor: ShapePredictor,
         max_batch: Optional[int] = None,
-        max_latency_s: Optional[float] = None,
         autostart: bool = True,
     ) -> None:
-        if max_batch is None or max_latency_s is None:
-            from ..tuning.profile import get_active_profile
-
-            profile = get_active_profile()
-            if max_batch is None:
-                max_batch = (
-                    profile.serving_max_batch
-                    if profile is not None
-                    else DEFAULT_MAX_BATCH
-                )
-            if max_latency_s is None:
-                max_latency_s = (
-                    profile.serving_max_latency_s
-                    if profile is not None
-                    else DEFAULT_MAX_LATENCY_S
-                )
+        if max_batch is None:
+            max_batch = _default_max_batch()
         self.predictor = predictor
         self.max_batch = check_positive_int(max_batch, "max_batch")
-        if max_latency_s <= 0:
-            raise InvalidParameterError(
-                f"max_latency_s must be > 0, got {max_latency_s}"
-            )
-        self.max_latency_s = float(max_latency_s)
         self._inbox: "_queue.Queue[Optional[_Request]]" = _queue.Queue()
         self._lock = threading.Lock()
         self._stats = ServingStats()
@@ -340,22 +322,13 @@ class MicroBatchQueue:
 
     def _collector(self) -> None:
         while True:
-            try:
-                first = self._inbox.get(timeout=0.05)
-            except _queue.Empty:
-                if self._closed:
-                    return
-                continue
+            first = self._inbox.get()  # block only while the inbox is empty
             if first is None:  # shutdown sentinel
                 return
             batch = [first]
-            deadline = first.submitted + self.max_latency_s
             while len(batch) < self.max_batch:
-                remaining = deadline - monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    item = self._inbox.get(timeout=remaining)
+                    item = self._inbox.get_nowait()
                 except _queue.Empty:
                     break
                 if item is None:

@@ -18,9 +18,8 @@ Each measurement targets one quantity the scheduler actually consumes:
 * **serving batch curve** — batched :class:`~repro.serving.ShapePredictor`
   cost at several batch sizes (the static default is always a candidate);
   the micro-batch queue's ``max_batch`` is the measured per-item-cost
-  optimum, ``max_latency_s`` a few services of that batch (never above
-  the static default), and the linear ``base + per_item·b`` fit is kept
-  for inspection.
+  optimum, and the linear ``base + per_item·b`` fit is kept for
+  inspection.
 
 Determinism guard: all synthetic inputs come from a seeded generator and
 the repetition counts are fixed by :class:`CalibrationOptions`, so a
@@ -241,19 +240,13 @@ def _measure_serving(
     # the way: amortization wins up to a few dozen items, then cache
     # pressure of the padded FFT workspaces turns against large batches.
     # Pick the *measured* optimum; ties break toward the larger batch
-    # (better deadline amortization at equal kernel cost).
+    # (more backlog drained per call at equal per-item cost).
     per_item = [cost / b for b, cost in zip(batches, costs)]
     best_index = min(range(len(batches)), key=lambda i: (per_item[i], -batches[i]))
     max_batch = int(batches[best_index])
     base_s, per_item_s = _fit_serving_curve(batches, costs)
-    # Wait at most a few batch services before flushing a partial batch;
-    # clamped to the static default (0.01 s) so calibration can only
-    # lower tail latency, never raise it.
-    service_s = costs[best_index]
-    max_latency_s = float(np.clip(8.0 * service_s, 5e-4, 0.01))
     return {
         "max_batch": float(max_batch),
-        "max_latency_s": max_latency_s,
         "kernel_base_s": base_s,
         "kernel_per_item_s": per_item_s,
     }

@@ -104,11 +104,10 @@ def _run_calibrate(args: argparse.Namespace) -> int:
     print(f"wrote hardware profile to {destination}")
     print(
         "  cpu_count={cpu}  process_spawn={spawn:.4f}s  "
-        "serving max_batch={batch}  max_latency={lat:.4f}s".format(
+        "serving max_batch={batch}".format(
             cpu=profile.cpu_count,
             spawn=profile.overheads["process_spawn_s"],
             batch=profile.serving_max_batch,
-            lat=profile.serving_max_latency_s,
         )
     )
     return 0

@@ -139,8 +139,10 @@ class HardwareProfile:
         buckets.
     serving:
         Micro-batch policy derived from the measured batched-kernel cost
-        curve: ``max_batch``, ``max_latency_s`` (plus the raw fit,
-        ``kernel_base_s``/``kernel_per_item_s``, for inspection).
+        curve: ``max_batch`` (plus the raw fit,
+        ``kernel_base_s``/``kernel_per_item_s``, for inspection). Other
+        numeric keys, such as the flush deadline older calibrations
+        wrote, are kept so the checksum still verifies, and are unused.
     calibration:
         Provenance: seed, repetitions, quick flag, calibrated lengths and
         the cDTW band fraction the ``cdtw`` family was measured at.
@@ -211,31 +213,6 @@ class HardwareProfile:
     @property
     def serving_max_batch(self) -> int:
         return int(self.serving["max_batch"])
-
-    @property
-    def serving_max_latency_s(self) -> float:
-        return float(self.serving["max_latency_s"])
-
-    def serving_policy(self, n_shards: int = 1) -> Dict[str, float]:
-        """Per-shard micro-batch policy when traffic splits across shards.
-
-        The calibrated ``max_batch`` was measured against the *whole*
-        arrival stream; a fleet routes ~1/N of that stream to each shard,
-        so a shard waiting for the full calibrated batch would sit on
-        requests N times longer than the calibration assumed. Dividing the
-        batch budget across shards (never below 1) keeps each shard's
-        worst-case queue wait at the calibrated deadline; the latency
-        bound itself is per-request and stays unchanged.
-        """
-        if n_shards < 1:
-            raise ProfileError(
-                f"n_shards must be >= 1, got {n_shards}"
-            )
-        per_shard = max(1, -(-self.serving_max_batch // int(n_shards)))
-        return {
-            "max_batch": float(per_shard),
-            "max_latency_s": self.serving_max_latency_s,
-        }
 
     # ------------------------------------------------------------ (de)code
     def body_dict(self) -> Dict[str, Any]:
@@ -353,10 +330,6 @@ class HardwareProfile:
             f"profile: serving.max_batch must be an int >= 1, got {max_batch!r}",
         )
         serving["max_batch"] = float(max_batch)
-        serving["max_latency_s"] = _as_finite_positive(
-            serving_raw.get("max_latency_s"),  # type: ignore[union-attr]
-            "serving.max_latency_s",
-        )
         for extra_key, extra_value in serving_raw.items():  # type: ignore[union-attr]
             if extra_key not in serving and isinstance(extra_value, (int, float)):
                 serving[str(extra_key)] = float(extra_value)

@@ -339,7 +339,7 @@ class TestDriftLoop:
 
 
 class TestProfileIntegration:
-    def test_fleet_splits_profile_batch_across_shards(self, registry):
+    def test_fleet_shards_use_profile_batch(self, registry):
         profile = HardwareProfile(
             machine={"cpu_count": 4, "platform": "test", "python": "3.11"},
             overheads={
@@ -350,21 +350,22 @@ class TestProfileIntegration:
                 "tile_dispatch_us": 25.0,
             },
             pair_cost_us={"sbd": {32: 8.0, 128: 20.0}},
-            serving={"max_batch": 64.0, "max_latency_s": 0.02},
+            serving={"max_batch": 64.0},
             calibration={"seed": 0, "reps": 3, "cdtw_band": 0.10},
         )
         with use_profile(profile):
             fleet = ShapeFleet(registry, n_shards=4, autostart=False)
-        assert fleet.max_batch == 16  # ceil(64 / 4)
-        assert fleet.max_latency_s == 0.02
+        # Every shard gets the whole calibrated cap: an idle shard
+        # dispatches at once, so a large cap never delays a request.
+        assert fleet.max_batch == 64
+        assert {s.queue.max_batch for s in fleet._shards.values()} == {64}
         fleet.close()
 
     def test_explicit_policy_wins(self, registry):
         fleet = ShapeFleet(
-            registry, n_shards=2, max_batch=5, max_latency_s=0.5,
-            autostart=False,
+            registry, n_shards=2, max_batch=5, autostart=False
         )
-        assert fleet.max_batch == 5 and fleet.max_latency_s == 0.5
+        assert fleet.max_batch == 5
         fleet.close()
 
 

@@ -1,5 +1,9 @@
 """Tests for repro.serving.queue (micro-batching request queue)."""
 
+import threading
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -59,9 +63,7 @@ class TestManualMode:
 class TestThreadedMode:
     def test_coalesces_and_answers(self, predictor, two_class_data):
         X, _ = two_class_data
-        with MicroBatchQueue(
-            predictor, max_batch=4, max_latency_s=0.05
-        ) as queue:
+        with MicroBatchQueue(predictor, max_batch=4) as queue:
             futures = [queue.submit(x) for x in X]
             labels = np.array([f.result(timeout=5)[0] for f in futures])
         assert np.array_equal(labels, predictor.predict(X))
@@ -74,17 +76,47 @@ class TestThreadedMode:
 
     def test_latency_flush_of_partial_batch(self, predictor, two_class_data):
         X, _ = two_class_data
-        with MicroBatchQueue(
-            predictor, max_batch=1000, max_latency_s=0.02
-        ) as queue:
+        with MicroBatchQueue(predictor, max_batch=1000) as queue:
             future = queue.submit(X[0])
-            # Far fewer than max_batch requests: only the latency deadline
-            # can flush this one.
+            # Far fewer than max_batch requests: an idle collector runs
+            # the lone request at once instead of waiting for company.
             assert future.result(timeout=5)[0] == predictor.predict(X[:1])[0]
+            assert queue.stats().max_batch_size == 1
+
+    def test_backlog_forms_full_batches(self):
+        """Requests queued behind a running batch go out max_batch at a time."""
+        entered, release = threading.Event(), threading.Event()
+        sizes = []
+
+        class BlockingStub:
+            m = 8
+
+            def predict_full(self, X):
+                sizes.append(X.shape[0])
+                if len(sizes) == 1:
+                    entered.set()
+                    assert release.wait(timeout=10)
+                n = X.shape[0]
+                return SimpleNamespace(labels=np.zeros(n), distances=X[:, 0])
+
+        queue = MicroBatchQueue(BlockingStub(), max_batch=32)
+        X = np.arange(65 * 8, dtype=np.float64).reshape(65, 8)
+        futures = [queue.submit(X[0])]
+        assert entered.wait(timeout=10)
+        futures += [queue.submit(x) for x in X[1:]]
+        time.sleep(0.05)  # the backlog ages, as it does under overload
+        release.set()
+        queue.close()
+        # FIFO order and bit-identical answers survive the coalescing.
+        assert [f.result(timeout=5)[1] for f in futures] == list(X[:, 0])
+        assert sizes == [1, 32, 32]
+        stats = queue.stats()
+        assert stats.batches == 3
+        assert stats.max_batch_size == 32
 
     def test_close_drains_backlog(self, predictor, two_class_data):
         X, _ = two_class_data
-        queue = MicroBatchQueue(predictor, max_batch=4, max_latency_s=10.0)
+        queue = MicroBatchQueue(predictor, max_batch=4)
         futures = [queue.submit(x) for x in X[:3]]  # below max_batch
         queue.close()
         assert all(f.done() for f in futures)
@@ -122,8 +154,6 @@ class TestValidation:
     def test_bad_policy_raises(self, predictor):
         with pytest.raises(InvalidParameterError):
             MicroBatchQueue(predictor, max_batch=0)
-        with pytest.raises(InvalidParameterError):
-            MicroBatchQueue(predictor, max_latency_s=0.0)
 
     def test_stats_snapshot_is_detached(self, predictor, two_class_data):
         X, _ = two_class_data
@@ -256,7 +286,7 @@ class TestGracefulShutdown:
         from repro.exceptions import QueueClosedError
 
         X, _ = two_class_data
-        queue = MicroBatchQueue(predictor, max_batch=1000, max_latency_s=30.0)
+        queue = MicroBatchQueue(predictor, max_batch=1000)
         futures = [queue.submit(x) for x in X[:3]]
         queue.close(drain=False)
         resolved = [f for f in futures if f.done()]

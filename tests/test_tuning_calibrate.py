@@ -6,6 +6,8 @@ steers *scheduling only* — matrices, labels, and served predictions are
 bit-identical with and without an active profile.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.parallel import resolve_backend
 from repro.preprocessing import zscore
 from repro.serving import MicroBatchQueue, ShapePredictor
 from repro.tuning import CalibrationOptions, HardwareProfile, calibrate, use_profile
+from repro.tuning import cli
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -44,7 +47,6 @@ def test_quick_calibration_structure(quick_profile):
         assert all(cost > 0 for cost in table.values())
     assert p.cpu_count >= 1
     assert p.serving_max_batch >= 1
-    assert 0 < p.serving_max_latency_s <= 0.01
 
 
 def test_calibration_plan_is_deterministic(quick_profile):
@@ -73,10 +75,30 @@ def test_calibration_options_roundtrip_into_provenance(quick_profile):
 
 
 def test_serving_policy_never_looser_than_static(quick_profile):
-    # The measured policy may batch more and wait less than the static
-    # defaults, never the reverse (see _measure_serving).
-    assert quick_profile.serving_max_latency_s <= 0.01 + 1e-12
+    # The batch cap is measured against candidates that include the static
+    # default (see _measure_serving) and ships with its cost fit.
     assert quick_profile.serving["kernel_per_item_s"] > 0
+
+
+def test_calibration_writes_no_flush_deadline(quick_profile):
+    assert set(quick_profile.serving) == {
+        "max_batch",
+        "kernel_base_s",
+        "kernel_per_item_s",
+    }
+
+
+def test_cli_reports_no_flush_deadline(quick_profile, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "calibrate", lambda options: quick_profile)
+    path = tmp_path / "profile.json"
+    assert cli.main(["calibrate", "--quick", "--out", str(path)]) == 0
+    summary = capsys.readouterr().out
+    assert f"serving max_batch={quick_profile.serving_max_batch}" in summary
+    assert "max_latency" not in summary
+    assert cli.main(["show", "--path", str(path)]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert "max_latency_s" not in shown["serving"]
+    assert shown["checksum"] == quick_profile.checksum()
 
 
 # ---------------------------------------------------------------------------

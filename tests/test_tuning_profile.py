@@ -19,7 +19,7 @@ from repro.exceptions import (
 )
 from repro.parallel import choose_backend, choose_tile_size, estimate_pair_cost_us
 from repro.serving import MicroBatchQueue, ShapePredictor
-from repro.serving.queue import DEFAULT_MAX_BATCH, DEFAULT_MAX_LATENCY_S
+from repro.serving.queue import DEFAULT_MAX_BATCH
 from repro.tuning import (
     HardwareProfile,
     clear_active_profile,
@@ -47,7 +47,7 @@ def make_profile(**overrides) -> HardwareProfile:
             "dtw": {32: 150.0, 128: 2400.0},
             "cdtw": {32: 30.0, 128: 480.0},
         },
-        serving={"max_batch": 64.0, "max_latency_s": 0.004},
+        serving={"max_batch": 64.0},
         calibration={"seed": 0, "reps": 3, "cdtw_band": 0.10},
     )
     fields.update(overrides)
@@ -87,7 +87,21 @@ def test_round_trip_preserves_checksum_and_decisions(tmp_path):
     assert loaded.checksum() == profile.checksum()
     assert _scheduling_decisions(loaded) == _scheduling_decisions(profile)
     assert loaded.serving_max_batch == 64
-    assert loaded.serving_max_latency_s == pytest.approx(0.004)
+
+
+def test_legacy_profile_with_flush_deadline_still_loads(tmp_path):
+    """Profiles written before the deadline was dropped keep working."""
+    legacy = make_profile(serving={"max_batch": 64.0, "max_latency_s": 0.004})
+    path = save_profile(legacy, tmp_path / "legacy.json")
+    payload = json.loads(path.read_text())
+    assert payload["serving"] == {"max_batch": 64, "max_latency_s": 0.004}
+    loaded = load_profile(path)  # checksum verifies over the old key too
+    assert loaded.checksum() == payload["checksum"]
+    assert loaded.serving_max_batch == 64
+    with use_profile(loaded):
+        queue = MicroBatchQueue(ShapePredictor(np.eye(3, 32)), autostart=False)
+        assert queue.max_batch == 64
+        queue.close()
 
 
 def test_round_trip_queue_defaults_identical(tmp_path):
@@ -98,9 +112,9 @@ def test_round_trip_queue_defaults_identical(tmp_path):
     for p in (profile, loaded):
         with use_profile(p):
             queue = MicroBatchQueue(predictor, autostart=False)
-            policies.append((queue.max_batch, queue.max_latency_s))
+            policies.append(queue.max_batch)
             queue.close()
-    assert policies[0] == policies[1] == (64, 0.004)
+    assert policies[0] == policies[1] == 64
 
 
 def test_pair_cost_interpolates_and_scales_bands():
@@ -217,7 +231,6 @@ def test_invalid_disk_profile_warns_once_and_falls_back(tmp_path, monkeypatch):
         predictor = ShapePredictor(np.eye(3, 32))
         queue = MicroBatchQueue(predictor, autostart=False)
         assert queue.max_batch == DEFAULT_MAX_BATCH
-        assert queue.max_latency_s == DEFAULT_MAX_LATENCY_S
         queue.close()
     finally:
         clear_active_profile()
@@ -248,7 +261,7 @@ def test_env_var_points_at_profile(tmp_path, monkeypatch):
 
 def test_use_profile_nests_and_restores():
     outer, inner = make_profile(), make_profile(
-        serving={"max_batch": 16.0, "max_latency_s": 0.002}
+        serving={"max_batch": 16.0}
     )
     with use_profile(outer):
         assert get_active_profile() is outer
@@ -257,30 +270,3 @@ def test_use_profile_nests_and_restores():
         assert get_active_profile() is outer
     # Back to the suite-wide "static constants" override.
     assert get_active_profile() is None
-
-
-# ---------------------------------------------------------------------------
-# per-shard serving policy
-
-
-def test_serving_policy_splits_batch_across_shards():
-    profile = make_profile()
-    assert profile.serving_policy() == {
-        "max_batch": 64.0,
-        "max_latency_s": 0.004,
-    }
-    assert profile.serving_policy(n_shards=4)["max_batch"] == 16.0
-    assert profile.serving_policy(n_shards=3)["max_batch"] == 22.0  # ceil
-    # The latency deadline is per-request and does not divide.
-    assert profile.serving_policy(n_shards=4)["max_latency_s"] == 0.004
-
-
-def test_serving_policy_never_below_one():
-    profile = make_profile(serving={"max_batch": 2.0, "max_latency_s": 0.004})
-    assert profile.serving_policy(n_shards=16)["max_batch"] == 1.0
-
-
-def test_serving_policy_rejects_bad_shard_count():
-    profile = make_profile()
-    with pytest.raises(ProfileError):
-        profile.serving_policy(n_shards=0)
